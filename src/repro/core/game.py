@@ -22,11 +22,11 @@ This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Dict, List, Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
-from .arithmetic import positive_subtraction
+from .arithmetic import DEFAULT_REL_TOL, positive_subtraction
 from .exceptions import InvalidScheduleError, SchedulingError
 from .params import CycleStealingParams
 from .schedule import EpisodeRecord, EpisodeSchedule, OpportunitySchedule
@@ -129,13 +129,18 @@ def _checked_schedule(scheduler: AdaptiveSchedulerProtocol, residual: float,
         raise SchedulingError(
             f"scheduler returned {type(schedule).__name__}, expected EpisodeSchedule"
         )
+    _check_admissible(schedule, residual)
+    return schedule
+
+
+def _check_admissible(schedule: EpisodeSchedule, residual: float) -> None:
+    """Raise :class:`SchedulingError` unless ``schedule`` fits ``residual``."""
     try:
         schedule.validate_for_lifespan(residual, require_exact=False)
     except InvalidScheduleError as exc:
         raise SchedulingError(
             f"scheduler produced an inadmissible schedule for residual {residual!r}: {exc}"
         ) from exc
-    return schedule
 
 
 def play_adaptive(scheduler: AdaptiveSchedulerProtocol,
@@ -288,9 +293,9 @@ def guaranteed_adaptive_work_reference(scheduler: AdaptiveSchedulerProtocol,
     from closed-form formulas revisit the same residuals constantly, so the
     memoisation is highly effective.
 
-    This is the readable recursive formulation; the production referee is
-    the level-ordered iterative :func:`guaranteed_adaptive_work`, which the
-    property tests pin against this one to ``1e-9``.
+    This is the readable recursive formulation and the test oracle; the
+    production referee is the level-batched :func:`guaranteed_adaptive_work`,
+    which the property tests pin to this one bit for bit.
     """
     c = params.setup_cost
     memo: Dict[Tuple[int, int], float] = {}
@@ -328,66 +333,172 @@ def guaranteed_adaptive_work_reference(scheduler: AdaptiveSchedulerProtocol,
     return value(params.lifespan, params.max_interrupts)
 
 
-def _checked_schedules_batch(scheduler: AdaptiveSchedulerProtocol,
-                             residuals: Sequence[float], p: int,
-                             c: float) -> List[EpisodeSchedule]:
-    """One referee-validated schedule per residual, batched when possible.
+#: Cells (rows × widest row) of one transient padded block in the
+#: referee's prefix-sum pass: 8 Ki float64 cells, 64 KiB per block.
+_PREFIX_BLOCK_CELLS = 1 << 13
 
-    Schedulers exposing ``episode_schedule_batch`` (the guideline
-    schedulers share one backward prefix across a whole batch) amortise
-    their construction over every state of a level; each schedule still
-    passes exactly the checks of :func:`_checked_schedule`.
+#: Longest row numpy's pairwise summation adds as one unrolled block.
+_PAIRWISE_BLOCK = 128
+
+
+def _level_rows(scheduler: AdaptiveSchedulerProtocol, residuals: np.ndarray,
+                p: int, c: float) -> Tuple[np.ndarray, ...]:
+    """The schedules of one lattice level, flat and ragged.
+
+    Returns ``(periods, counts, starts, works)``: row ``i`` holds the
+    ``counts[i]`` periods of residual ``i``'s schedule at ``starts[i]``
+    onwards, and ``works[i]`` is that schedule's work if uninterrupted.
+
+    Schedulers exposing ``episode_schedule_batch`` (the guideline and
+    fixed-period schedulers share their construction across a batch)
+    build the whole level in one call.  Every schedule passes the checks
+    of :func:`_checked_schedule`, admissibility in one array pass.
     """
     build = getattr(scheduler, "episode_schedule_batch", None)
     if build is not None:
-        schedules = list(build(list(residuals), p, c))
+        schedules = list(build(residuals.tolist(), p, c))
     else:
         schedules = [scheduler.episode_schedule(residual, p, c)
-                     for residual in residuals]
-    for residual, schedule in zip(residuals, schedules):
+                     for residual in residuals.tolist()]
+    for schedule in schedules:
         if not isinstance(schedule, EpisodeSchedule):
             raise SchedulingError(
                 f"scheduler returned {type(schedule).__name__}, "
                 "expected EpisodeSchedule")
-        try:
-            schedule.validate_for_lifespan(residual, require_exact=False)
-        except InvalidScheduleError as exc:
-            raise SchedulingError(
-                f"scheduler produced an inadmissible schedule for residual "
-                f"{residual!r}: {exc}") from exc
-    return schedules
+    periods = [schedule.periods for schedule in schedules]
+    counts = np.fromiter(map(len, periods), dtype=np.intp, count=len(periods))
+    starts = np.zeros(counts.size, dtype=np.intp)
+    np.cumsum(counts[:-1], out=starts[1:])
+    flat = np.concatenate(periods)
+    del periods
+    totals, works = _row_sums(flat, counts, starts, c)
+    # validate_for_lifespan(require_exact=False), elementwise: a schedule
+    # may not exceed its residual beyond is_close's tolerances.
+    tolerance = np.maximum(
+        DEFAULT_REL_TOL * np.maximum(np.abs(totals), np.abs(residuals)), 1e-6)
+    for i in np.flatnonzero((totals > residuals)
+                            & ~(np.abs(totals - residuals) <= tolerance)).tolist():
+        _check_admissible(schedules[i], float(residuals[i]))
+    return flat, counts, starts, works
+
+
+def _padded_rows(flat: np.ndarray, starts: np.ndarray,
+                 counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows ``flat[starts[i]:starts[i] + counts[i]]`` as one zero-padded
+    C-contiguous 2-D block, and the mask of its real cells."""
+    column = np.arange(int(counts.max()))
+    cells = column < counts[:, None]
+    index = np.minimum(starts[:, None] + column, flat.size - 1)
+    return np.where(cells, flat[index], 0.0), cells
+
+
+def _row_sums(flat: np.ndarray, counts: np.ndarray, starts: np.ndarray,
+              c: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-row sums of the periods and of their works ``t ⊖ c``,
+    bit-identical to ``schedule.total_length`` and
+    ``schedule.work_if_uninterrupted(c)``, i.e. to a 1-D ``.sum()``.
+
+    numpy's pairwise summation partitions a row by its length, so rows
+    are summed as ``sum(axis=1)`` over zero-padded blocks of rows that
+    share that partition (a row-wise sum of a C-contiguous block runs the
+    same pairwise kernel per row).  Up to ``_PAIRWISE_BLOCK`` values, the
+    kernel adds eight accumulators over the first ``8 * (m // 8)`` values
+    and then the other ``m % 8`` one by one; trailing zeros that leave
+    ``m // 8`` unchanged only lengthen that sequential tail, and adding
+    ``0.0`` to a non-negative sum is exact.  So such rows group by
+    ``m // 8``; longer rows, which the kernel splits recursively by
+    length, group by ``m``.  ``np.add.reduceat`` is no substitute: it
+    sums sequentially.
+    """
+    totals = np.empty(counts.size)
+    works = np.empty(counts.size)
+    layouts: Dict[int, List[int]] = {}
+    for row, count in enumerate(counts.tolist()):
+        layout = count // 8 if count <= _PAIRWISE_BLOCK else count
+        layouts.setdefault(layout, []).append(row)
+    for members in layouts.values():
+        block, _ = _padded_rows(flat, starts[members], counts[members])
+        totals[members] = block.sum(axis=1)
+        # period_work_array, elementwise; padding stays 0.0 (c >= 0).
+        np.maximum(block - c, 0.0, out=block)
+        works[members] = block.sum(axis=1)
+    return totals, works
+
+
+def _prefix_pass(residuals: np.ndarray, flat: np.ndarray, counts: np.ndarray,
+                 starts: np.ndarray, c: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat child residuals and prefix works of a level's rows.
+
+    ``children`` is each row's residual minus its period finish times
+    (the residual after an interrupt at each period's last instant) and
+    ``prefix`` the work banked before each period.  Both rest on per-row
+    prefix sums, bit-identical to a 1-D ``np.cumsum`` of every row: a
+    cumulative sum is sequential, so it is the same in a zero-padded 2-D
+    block as alone.  The padded blocks exist only transiently, one
+    bounded chunk of rows at a time.
+    """
+    children = np.empty_like(flat)
+    prefix = np.empty_like(flat)
+    step = max(1, _PREFIX_BLOCK_CELLS // int(counts.max()))
+    for lo in range(0, counts.size, step):
+        rows = slice(lo, lo + step)
+        block, cells = _padded_rows(flat, starts[rows], counts[rows])
+        span = slice(int(starts[lo]), int(starts[lo]) + int(counts[rows].sum()))
+        children[span] = (residuals[rows, None] - np.cumsum(block, axis=1))[cells]
+        # Works shifted one column right behind a leading 0.0: the
+        # cumulative sum at period j is the work banked before it
+        # (0.0 + w is exactly w); the padding's work is 0.0 (c >= 0).
+        works = np.maximum(block - c, 0.0)
+        block[:, 0] = 0.0
+        block[:, 1:] = works[:, :-1]
+        prefix[span] = np.cumsum(block, axis=1)[cells]
+    return children, prefix
 
 
 def guaranteed_adaptive_work(scheduler: AdaptiveSchedulerProtocol,
                              params: CycleStealingParams,
                              *, residual_grain: float = 1e-6) -> float:
-    """Exact worst-case work of an adaptive scheduler (vectorized kernel).
+    """Exact worst-case work of an adaptive scheduler (level-batched kernel).
 
-    Semantically identical to :func:`guaranteed_adaptive_work_reference`
-    (the same minimax game over the same memoised state lattice, pinned to
-    ``1e-9`` by the property tests), but evaluated iteratively and in
-    array passes instead of by per-state Python recursion:
+    Bit-identical to :func:`guaranteed_adaptive_work_reference` — the same
+    minimax game over the same memoised state lattice — but evaluated in
+    one array pass per lattice *level* instead of per-state recursion:
 
-    * the state lattice is discovered **level by level** — all states with
-      ``q`` interrupts remaining sit on level ``q``, and every adversary
-      option from level ``q`` lands on level ``q − 1``, so one downward
-      discovery sweep followed by one upward evaluation sweep visits each
-      state exactly once;
-    * per level, all episode-schedules are built through one
-      ``episode_schedule_batch`` call when the scheduler provides it (the
-      guideline schedulers share one backward prefix across the batch);
-    * per state, the adversary's minimisation over "interrupt at the last
-      instant of period j" is one array pass — a ``cumsum`` of the period
-      works (the same sequential accumulation order as the reference's
-      ``+=`` loop, hence bit-identical partial sums) plus a gather of the
-      continuation values from the already-evaluated level below.
+    * all states with ``q`` interrupts remaining sit on level ``q``, and
+      every adversary option from level ``q`` lands on level ``q − 1``, so
+      one downward discovery sweep followed by one upward evaluation sweep
+      visits each level exactly once;
+    * **discovery** builds every schedule of a level through one
+      ``episode_schedule_batch`` call (when the scheduler provides it) and
+      keeps the level flat and ragged: each period's prefix work and the
+      child residual after its last instant, with row offsets per state.
+      Prefix sums come from ``cumsum(axis=1)`` over zero-padded row
+      blocks — the same sequential accumulation as a per-row 1-D
+      ``cumsum``, hence bit-identical — and the work if uninterrupted
+      from row sums over rows grouped by period count, since numpy's
+      pairwise summation depends on the row length (see
+      :func:`_row_sums`);
+    * **dedup** is one stable ``argsort`` over the alive children's keys,
+      restored to first-reach order, exactly like the reference memo:
+      levels ``q >= 1`` key on the residual rounded to ``residual_grain``
+      (keeping the first-reached representative, which the level order
+      reaches in the reference's depth-first order), level ``0`` on the
+      exact residual (the reference never memoises ``p = 0``).  It maps
+      every child to its state's index on the level below, so evaluation
+      needs no lookup;
+    * **evaluation** of a level is one gather of the continuation values
+      from the level below, one add of the prefix works and one
+      ``np.minimum.reduceat`` over the rows (``min`` is order-free, so
+      exact), against "no interrupt" as the adversary's baseline.
 
-    States are deduplicated exactly like the reference memo: levels
-    ``q >= 1`` on the residual rounded to ``residual_grain`` (keeping the
-    first-reached representative, which the level order preserves), level
-    ``0`` on the exact residual (the reference never memoises ``p = 0``).
-    On gap sweeps over the guideline schedulers this kernel is an order of
-    magnitude faster than the reference (see
+    Memory stays flat per level: only the prefix works, child indices,
+    row offsets and uninterrupted works survive discovery; schedules and
+    every other temporary are freed as each level is done, and the padded
+    blocks are bounded by ``_PREFIX_BLOCK_CELLS``.  (The dedup is written
+    out rather than ``np.unique(..., return_inverse=True)``, which copies
+    its input and holds about five more level-sized arrays at once; this
+    one holds at most three.)  On gap sweeps over the guideline schedulers
+    this kernel is an order of magnitude faster than the reference (see
     ``benchmarks/results/referee_speedup.*``).
     """
     c = params.setup_cost
@@ -396,79 +507,60 @@ def guaranteed_adaptive_work(scheduler: AdaptiveSchedulerProtocol,
     if lifespan <= 0.0:
         return 0.0
 
-    # ------------------------------------------------------------------
-    # Phase 1: discover the state lattice level by level, downwards.
-    # levels[q] holds the representative residuals of level q in
-    # first-reach order; children[q][i] the residuals reachable from state
-    # i of level q (one per period last-instant, untruncated).
-    # ------------------------------------------------------------------
-    levels: List[List[float]] = [[] for _ in range(p_max + 1)]
-    children: List[List[np.ndarray]] = [[] for _ in range(p_max + 1)]
-    schedules: List[List[EpisodeSchedule]] = [[] for _ in range(p_max + 1)]
-
-    levels[p_max] = [lifespan]
+    # Phase 1: discover the lattice downwards.  levels keeps, from level
+    # p_max down, (prefix works, child indices into the level below, row
+    # starts, uninterrupted works) of every state on that level.
+    levels: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+    residuals = np.array([lifespan])
     for q in range(p_max, 0, -1):
-        frontier = levels[q]
-        schedules[q] = _checked_schedules_batch(scheduler, frontier, q, c)
-        seen: set = set()
-        next_level: List[float] = []
-        child_arrays: List[np.ndarray] = []
-        for residual, schedule in zip(frontier, schedules[q]):
-            child_res = residual - schedule.finish_times
-            child_arrays.append(child_res)
-            # Dedup matching the reference memo: rounded key on q-1 >= 1,
-            # the exact residual on level 0 (never memoised there).
-            if q - 1 >= 1:
-                keys = np.rint(child_res / residual_grain).astype(np.int64)
-                for res, key in zip(child_res.tolist(), keys.tolist()):
-                    if res > 0.0 and key not in seen:
-                        seen.add(key)
-                        next_level.append(res)
-            else:
-                for res in child_res.tolist():
-                    if res > 0.0 and res not in seen:
-                        seen.add(res)
-                        next_level.append(res)
-        children[q] = child_arrays
-        levels[q - 1] = next_level
-
-    # ------------------------------------------------------------------
-    # Phase 2: evaluate upwards from level 0.
-    # ------------------------------------------------------------------
-    level0 = levels[0]
-    schedules[0] = _checked_schedules_batch(scheduler, level0, 0, c)
-    values = np.asarray([schedule.work_if_uninterrupted(c)
-                         for schedule in schedules[0]])
-    # Sorted lookup keys of the level below: exact residuals for level 0,
-    # rounded integer keys for levels >= 1.
-    below_keys = np.asarray(level0)
-    order = np.argsort(below_keys, kind="stable")
-    below_keys, below_values = below_keys[order], values[order]
-
-    for q in range(1, p_max + 1):
-        level_values = np.empty(len(levels[q]))
-        for i, schedule in enumerate(schedules[q]):
-            child_res = children[q][i]
-            alive = child_res > 0.0
-            continuation = np.zeros(child_res.size)
-            if alive.any():
-                lookup = (child_res[alive] if q - 1 == 0 else
-                          np.rint(child_res[alive] / residual_grain).astype(np.int64))
-                continuation[alive] = below_values[
-                    np.searchsorted(below_keys, lookup)]
-            # Adversary options: prefix work banked before period j plus
-            # the continuation value, against "no interrupt" as baseline.
-            period_works = np.maximum(schedule.periods - c, 0.0)
-            prefix = np.empty(period_works.size)
-            prefix[0] = 0.0
-            np.cumsum(period_works[:-1], out=prefix[1:])
-            level_values[i] = min(schedule.work_if_uninterrupted(c),
-                                  float(np.min(prefix + continuation)))
-        if q == p_max:
-            return float(level_values[0])
-        keys = np.rint(np.asarray(levels[q]) / residual_grain).astype(np.int64)
+        flat, counts, starts, works = _level_rows(scheduler, residuals, q, c)
+        children, prefix = _prefix_pass(residuals, flat, counts, starts, c)
+        del flat
+        alive = children > 0.0
+        survivors = children[alive]
+        del children
+        # The reference memo's keys: the exact residual on level 0, the
+        # residual rounded to residual_grain above it (rint values compared
+        # as floats are the same classes as the rounded integers).
+        if q == 1:
+            keys = survivors
+        else:
+            keys = survivors / residual_grain
+            np.rint(keys, out=keys)
+        # A stable argsort lists each class's first occurrence first.
         order = np.argsort(keys, kind="stable")
-        below_keys, below_values = keys[order], level_values[order]
+        keys = keys[order]
+        fresh = np.empty(keys.size, dtype=bool)
+        fresh[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+        del keys
+        first = order[fresh]
+        group = np.cumsum(fresh)
+        group -= 1
+        del fresh
+        # Restore first-reach order: the level below lists its states as
+        # the reference's recursion first reaches them.
+        reach = np.argsort(first, kind="stable")
+        residuals = survivors[first[reach]]
+        del survivors, first
+        rank = np.empty_like(reach)
+        rank[reach] = np.arange(reach.size)
+        ranked = rank[group]
+        group[order] = ranked  # group now maps each child to its state
+        del order, ranked, rank
+        # Dead children gather the appended 0.0 continuation.
+        index = np.full(alive.size, reach.size, dtype=np.intp)
+        index[alive] = group
+        levels.append((prefix, index, starts, works))
+        del alive, group, reach
+        if residuals.size == 0:  # no state survives: every level below is empty
+            break
 
-    # p_max == 0: the level-0 value of the full lifespan is the answer.
-    return float(values[level0.index(lifespan)])
+    # Phase 2: evaluate upwards from the deepest level reached (level 0:
+    # the exact residuals, played out uninterrupted).
+    values = (_level_rows(scheduler, residuals, 0, c)[3] if residuals.size
+              else np.empty(0))
+    for prefix, index, starts, works in reversed(levels):
+        candidates = prefix + np.append(values, 0.0)[index]
+        values = np.minimum(works, np.minimum.reduceat(candidates, starts))
+    return float(values[0])

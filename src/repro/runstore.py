@@ -143,10 +143,14 @@ class RunStoreError(CycleStealingError, RuntimeError):
 # Row <-> .npz shard round-trip
 # ----------------------------------------------------------------------
 def _row_arrays(row: Dict[str, Any]) -> Dict[str, np.ndarray]:
-    """Validate a result row into the arrays its shard will store."""
+    """Validate a result row into the arrays its shard will store.
+
+    The arrays are copies, so a row kept in hand (see
+    :meth:`Run.write_point`) never aliases a caller's array.
+    """
     arrays = {}
     for key, value in row.items():
-        arr = np.asarray(value)
+        arr = np.array(value)
         if arr.dtype == object:
             # An object array (e.g. a None value) would *write* fine but can
             # never be read back with allow_pickle=False — the shard would
@@ -172,8 +176,12 @@ def row_to_shard_bytes(row: Dict[str, Any]) -> bytes:
     merely plausible, and makes a multi-worker cluster run byte-identical
     to a single-machine ``--jobs`` run of the same spec.
     """
+    return _arrays_to_shard_bytes(_row_arrays(row))
+
+
+def _arrays_to_shard_bytes(arrays: Dict[str, np.ndarray]) -> bytes:
     buffer = io.BytesIO()
-    _write_npz_deterministic(buffer, _row_arrays(row))
+    _write_npz_deterministic(buffer, arrays)
     return buffer.getvalue()
 
 
@@ -214,9 +222,14 @@ def write_shard_bytes(path: Union[str, os.PathLike], data: bytes) -> None:
 
 
 def _archive_to_row(archive) -> Dict[str, Any]:
+    return _decoded_row({key: archive[key] for key in archive.files})
+
+
+def _decoded_row(arrays: Dict[str, np.ndarray]) -> Dict[str, Any]:
+    """The row a shard of ``arrays`` reads back as: 0-d arrays become
+    python scalars, other arrays stay arrays."""
     row: Dict[str, Any] = {}
-    for key in archive.files:
-        value = archive[key]
+    for key, value in arrays.items():
         if value.ndim == 0:
             item = value.item()
             if isinstance(item, (np.generic,)):  # pragma: no cover
@@ -376,6 +389,9 @@ class Run:
         #: Parsed-sidecar memo, keyed by the file's (size, mtime_ns) so a
         #: re-consolidation (this process or another) invalidates it.
         self._sidecar_memo: Optional[Tuple[Tuple[int, int], RunColumns]] = None
+        #: Rows this handle wrote and has not consolidated yet:
+        #: ``{index: ((size, mtime_ns) right after the write, row)}``.
+        self._written: Dict[int, Tuple[Tuple[int, int], Dict[str, Any]]] = {}
 
     # -- manifest ------------------------------------------------------
     @property
@@ -523,12 +539,23 @@ class Run:
         (same filename, different row) would otherwise pass the shard-set
         validity check while serving the old values.  The next completed
         read or consolidation rebuilds it.
+
+        The handle keeps the row in hand, decoded exactly as
+        :func:`read_row_shard` would return it, together with the shard's
+        stat right after the write, so :meth:`consolidate_columns` needs
+        no write-then-reread.
         """
-        write_row_shard(self.shard_path(index), row)
+        arrays = _row_arrays(row)
+        path = self.shard_path(index)
+        write_shard_bytes(path, _arrays_to_shard_bytes(arrays))
+        self._drop_sidecar()
         try:
-            os.remove(self.columns_path)
+            stat = os.stat(path)
         except OSError:
-            pass
+            self._written.pop(index, None)
+            return
+        self._written[index] = ((stat.st_size, stat.st_mtime_ns),
+                                _decoded_row(arrays))
 
     def write_point_bytes(self, index: int, data: bytes) -> None:
         """Persist pre-serialized shard bytes for one point (atomic).
@@ -542,6 +569,10 @@ class Run:
         """
         row_from_shard_bytes(data)  # reject unparseable bytes up front
         write_shard_bytes(self.shard_path(index), data)
+        self._written.pop(index, None)  # consolidation reads this one
+        self._drop_sidecar()
+
+    def _drop_sidecar(self) -> None:
         try:
             os.remove(self.columns_path)
         except OSError:
@@ -563,15 +594,24 @@ class Run:
         return sorted((int(match.group(1)), name) for name in names
                       for match in [_SHARD_RE.match(name)] if match)
 
-    def _read_all_shards(self) -> Tuple[List[int], List[Dict[str, Any]]]:
-        """Read every readable shard once, in point order (skip corrupt)."""
+    def _read_all_shards(self, in_hand: Optional[Dict[int, Dict[str, Any]]] = None
+                         ) -> Tuple[List[int], List[Dict[str, Any]]]:
+        """Every readable shard's row, in point order (skip corrupt).
+
+        Rows in ``in_hand`` (``{index: row}``) stand in for their shards;
+        every other shard is read once.
+        """
+        in_hand = in_hand or {}
         indices: List[int] = []
         rows: List[Dict[str, Any]] = []
         for index, name in self._shard_names_on_disk():
-            try:
-                rows.append(read_row_shard(os.path.join(self.points_dir, name)))
-            except RunStoreError:
-                continue
+            if index in in_hand:
+                rows.append(in_hand[index])
+            else:
+                try:
+                    rows.append(read_row_shard(os.path.join(self.points_dir, name)))
+                except RunStoreError:
+                    continue
             indices.append(index)
         return indices, rows
 
@@ -786,18 +826,32 @@ class Run:
         unless ``force`` is given; the write itself is temp-file +
         ``os.replace``, so readers and crashes only ever see whole
         sidecars.
+
+        Rows this handle wrote (:meth:`write_point`) come from the rows
+        kept in hand, not from a re-read, as long as the shard's stat is
+        still the one taken right after the write; the handle then drops
+        them.  Only the other shards are read from disk: points of an
+        earlier run or process (a resume), remote landings through
+        :meth:`write_point_bytes`, and shards changed since this handle
+        wrote them.  The sidecar bytes are the same either way.
         """
         if not force and self._load_valid_sidecar() is not None:
             return self.columns_path
         before = self._shard_stat_snapshot()
-        indices, rows = self._read_all_shards()
+        written, self._written = self._written, {}
+        in_hand = {index: row for index, (signature, row) in written.items()
+                   if before.get(index) == signature}
+        indices, rows = self._read_all_shards(in_hand)
         if not rows:
             return None
         path = self._write_sidecar(indices, rows)
-        # Every index in `indices` was just read whole: vouch for the ones
-        # whose stat did not change underneath the read, so the next
-        # resume's completed_points() trusts them without reopening.
-        self._vouch_after_read(indices, before)
+        # Every row is now in hand: vouch for the shards whose stat did not
+        # change underneath, so the next resume's completed_points() trusts
+        # them without reopening — except shards changed since this handle
+        # wrote them, which another writer is touching.
+        self._vouch_after_read([index for index in indices
+                                if index in in_hand or index not in written],
+                               before)
         return path
 
     def columns(self, *, source: str = "auto") -> RunColumns:

@@ -23,6 +23,10 @@ run through either referee and through the discrete-event simulator.
 
 from __future__ import annotations
 
+from typing import List
+
+import numpy as np
+
 from ..core.exceptions import SchedulingError
 from ..core.params import CycleStealingParams
 from ..core.schedule import EpisodeSchedule
@@ -91,6 +95,47 @@ class FixedPeriodScheduler(AdaptiveScheduler, NonAdaptiveScheduler):
         if residual_lifespan <= 0.0:
             raise SchedulingError("residual lifespan must be positive")
         return self._build(residual_lifespan)
+
+    def episode_schedule_batch(self, residual_lifespans, interrupts_remaining: int,
+                               setup_cost: float) -> List[EpisodeSchedule]:
+        """Vectorized :meth:`episode_schedule` over many residual lifespans.
+
+        Bit-identical to the scalar construction: one loop over the chunk
+        columns, vectorized over the residuals, takes every residual
+        through the same sequence of ``remaining -= t`` steps as
+        :meth:`EpisodeSchedule.from_period_lengths`.  A chunk is followed
+        by another only while more than ``t`` remains, so every chunk but
+        a row's last is exactly ``t``; the last is ``min(t, remaining)``
+        plus whatever remains after it.
+        """
+        values = [float(x) for x in residual_lifespans]
+        if not values:
+            return []
+        if min(values) <= 0.0:
+            raise SchedulingError("residual lifespan must be positive")
+        t = self.period_length
+        # The scalar loop's chunk count; a residual <= t is one period.
+        full = np.array([int(value // t) if value > t else 0
+                         for value in values], dtype=np.intp)
+        depth = max(1, int(full.max()))
+        # remaining[j]: what each residual has left after j chunks.
+        remaining = np.empty((depth + 1, full.size))
+        remaining[0] = values
+        for column in range(depth):
+            np.subtract(remaining[column], t, out=remaining[column + 1])
+        # The scalar loop also stops before a chunk once nothing remains.
+        positive = (remaining[:-1] > 0.0).sum(axis=0)
+        counts = np.maximum(np.minimum(full, positive), 1)
+        rows = np.arange(full.size)
+        final = np.minimum(t, remaining[counts - 1, rows])
+        left = remaining[counts, rows]
+        absorb = left > 0.0
+        final[absorb] += left[absorb]
+        ends = np.cumsum(counts)
+        periods = np.full(int(ends[-1]), t)
+        periods[ends - 1] = final
+        return [EpisodeSchedule.from_validated_array(periods[end - count:end])
+                for end, count in zip(ends.tolist(), counts.tolist())]
 
     def opportunity_schedule(self, params: CycleStealingParams) -> EpisodeSchedule:
         """Return fixed-size chunks covering the whole lifespan."""

@@ -760,3 +760,91 @@ class TestCompletedPointsVouch:
         reopened = RunStore(tmp_path).open(run.run_id)
         assert (render_run_report(reopened),
                 reopened.content_digest()) == with_vouch
+
+
+class TestRowsInHandConsolidation:
+    """Consolidation builds the sidecar from the rows a run just wrote.
+
+    ``Run.write_point`` keeps each row in hand, decoded as
+    ``read_row_shard`` would return it, with the shard's post-write stat;
+    ``consolidate_columns`` reads from disk only the shards this handle
+    did not write, or that changed since it wrote them.
+    """
+
+    _count_reads = TestCompletedPointsVouch._count_reads
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fresh_run_reads_no_shard(self, tmp_path, monkeypatch, jobs):
+        reads = self._count_reads(monkeypatch)
+        run = run_spec(parse_spec(SWEEP_SPEC), runs_dir=tmp_path, jobs=jobs)
+        assert reads == []
+        assert run.status == "complete"
+        assert run.rows(source="sidecar") == run.rows(source="shards")
+
+    def test_resume_reads_only_the_shards_that_already_existed(
+            self, tmp_path, monkeypatch):
+        spec = parse_spec(SWEEP_SPEC)
+        partial = run_spec(spec, runs_dir=tmp_path, max_points=2)
+        existing = sorted(partial.shard_path(i) for i in (0, 1))
+        reads = self._count_reads(monkeypatch)
+        resumed = resume_run(partial.run_id, runs_dir=tmp_path)
+        assert resumed.status == "complete"
+        assert sorted(reads) == existing
+
+    def test_shard_overwritten_after_the_write_is_reread_not_vouched(
+            self, tmp_path, monkeypatch):
+        run = RunStore(tmp_path).create(parse_spec(SWEEP_SPEC), run_id="x")
+        run.write_point(0, {"x": 0.0})
+        run.write_point(1, {"x": 1.0})
+        # Another writer replaces point 1; bump its mtime so the stat
+        # signature changes even on a coarse-timestamp filesystem.
+        path = run.shard_path(1)
+        write_row_shard(path, {"x": 11.0})
+        stat = os.stat(path)
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+        reads = self._count_reads(monkeypatch)
+        assert run.consolidate_columns(force=True) == run.columns_path
+        assert reads == [path]
+        assert run.rows(source="sidecar") == [{"x": 0.0}, {"x": 11.0}]
+        with open(run.vouch_path) as handle:
+            vouched = json.load(handle)["shards"]
+        assert sorted(vouched) == ["0"]
+
+    def test_remote_landing_is_read_from_disk(self, tmp_path, monkeypatch):
+        run = RunStore(tmp_path).create(parse_spec(SWEEP_SPEC), run_id="x")
+        run.write_point(0, {"x": 5.0})
+        run.write_point_bytes(0, runstore_module.row_to_shard_bytes({"x": 0.0}))
+        run.write_point(1, {"x": 1.0})
+        reads = self._count_reads(monkeypatch)
+        run.consolidate_columns(force=True)
+        assert reads == [run.shard_path(0)]
+        assert run.rows(source="sidecar") == [{"x": 0.0}, {"x": 1.0}]
+
+    def test_held_rows_are_dropped_after_consolidation(self, tmp_path,
+                                                       monkeypatch):
+        run = run_spec(parse_spec(SWEEP_SPEC), runs_dir=tmp_path)
+        reads = self._count_reads(monkeypatch)
+        run.consolidate_columns(force=True)
+        assert len(reads) == 6  # nothing in hand any more: all from disk
+
+    @pytest.mark.parametrize("spec", [SWEEP_SPEC, SCENARIO_SPEC])
+    def test_sidecar_bytes_equal_a_fresh_handles_consolidation(self, tmp_path,
+                                                               spec):
+        run = run_spec(parse_spec(spec), runs_dir=tmp_path)
+        in_hand = open(run.columns_path, "rb").read()
+        reopened = RunStore(tmp_path).open(run.run_id)
+        assert reopened.consolidate_columns(force=True) == run.columns_path
+        assert open(run.columns_path, "rb").read() == in_hand
+
+    def test_held_row_is_what_the_shard_reads_back(self, tmp_path):
+        row = {"f": 1.5, "i": 3, "b": True, "s": "abc",
+               "a": np.arange(3.0), "n": np.float32(2.5)}
+        run = RunStore(tmp_path).create(parse_spec(SWEEP_SPEC), run_id="x")
+        run.write_point(0, row)
+        row["a"][0] = 99.0  # the caller's array may change afterwards
+        held = run._written[0][1]
+        disk = read_row_shard(run.shard_path(0))
+        assert held.keys() == disk.keys()
+        for key, value in disk.items():
+            assert type(held[key]) is type(value), key
+            assert np.array_equal(held[key], value), key
