@@ -4,12 +4,11 @@ Every sweep returns a list of plain dictionaries (one per configuration) so
 the same data can be rendered as an ASCII table, written to CSV, or asserted
 on in tests without any further dependencies.
 
-All sweeps route through the experiment orchestrator
-(:mod:`repro.experiments.orchestrator`): each one expands its grid into
-picklable per-point payloads handled by a module-level row builder, so the
-same code runs serially (``jobs=1``, the default) or fanned out over a
-``concurrent.futures`` process pool (``jobs=N``) with byte-identical
-results in both modes.
+These sweeps run in-process, one exact referee measurement per row.  At
+the sizes the CLI uses, a single ``dp-optimal`` referee dominates the
+sweep, so a process pool would only add start-up and a DP re-solve per
+worker.  Process-parallel sweeps go through
+:func:`repro.experiments.run_sweep` or a run spec.
 """
 
 from __future__ import annotations
@@ -31,18 +30,10 @@ __all__ = [
 ]
 
 
-def _parallel_map(func, payloads, jobs: int):
-    # Deferred import: repro.analysis must stay importable without pulling
-    # in the experiments subsystem (which itself imports repro.analysis).
-    from ..experiments.orchestrator import parallel_map
-    return parallel_map(func, payloads, jobs=jobs)
-
-
 # ----------------------------------------------------------------------
-# Module-level row builders (picklable worker payloads)
+# Row builders
 # ----------------------------------------------------------------------
-def _nonadaptive_guarantee_row(payload) -> Dict[str, float]:
-    U, c, p = payload
+def _nonadaptive_guarantee_row(U: float, c: float, p: int) -> Dict[str, float]:
     from ..schedules.nonadaptive import RosenbergNonAdaptiveScheduler
 
     scheduler = RosenbergNonAdaptiveScheduler()
@@ -61,8 +52,8 @@ def _nonadaptive_guarantee_row(payload) -> Dict[str, float]:
     }
 
 
-def _adaptive_guarantee_row(payload) -> Dict[str, float]:
-    U, c, p, scheduler = payload
+def _adaptive_guarantee_row(U: float, c: float, p: int,
+                            scheduler) -> Dict[str, float]:
     if scheduler is None:
         from ..schedules.adaptive import EqualizingAdaptiveScheduler
         scheduler = EqualizingAdaptiveScheduler()
@@ -81,23 +72,8 @@ def _adaptive_guarantee_row(payload) -> Dict[str, float]:
     }
 
 
-def _resolve_dp_ref(dp_ref) -> Optional[ValueTable]:
-    """Materialise a worker payload's DP reference.
-
-    ``dp_ref`` is either an actual :class:`ValueTable` (serial mode), a
-    ``(L, c, p, method)`` cache key (parallel mode — resolving through the
-    per-worker cache is far cheaper than pickling megabyte tables into
-    every payload), or ``None``.
-    """
-    if dp_ref is None or isinstance(dp_ref, ValueTable):
-        return dp_ref
-    from ..experiments.orchestrator import _worker_cache
-    L, c, p, method = dp_ref
-    return _worker_cache(None).solve(L, c, p, method=method)
-
-
-def _comparison_row_for(label: str, scheduler, params: CycleStealingParams,
-                        dp_table: Optional[ValueTable]) -> Dict[str, object]:
+def _comparison_row(label: str, scheduler, params: CycleStealingParams,
+                    dp_table: Optional[ValueTable]) -> Dict[str, object]:
     work = measure_guaranteed_work(scheduler, params)
     row: Dict[str, object] = {
         "scheduler": label,
@@ -116,16 +92,11 @@ def _comparison_row_for(label: str, scheduler, params: CycleStealingParams,
     return row
 
 
-def _comparison_row(payload) -> Dict[str, object]:
-    label, scheduler, params, dp_ref = payload
-    return _comparison_row_for(label, scheduler, params, _resolve_dp_ref(dp_ref))
-
-
-def _registry_comparison_row(payload) -> Dict[str, object]:
-    name, params, dp_ref = payload
+def _registry_comparison_row(name: str, params: CycleStealingParams,
+                             dp_table: Optional[ValueTable]
+                             ) -> Dict[str, object]:
     from ..experiments.grid import make_scheduler
 
-    dp_table = _resolve_dp_ref(dp_ref)
     if name == "dp-optimal" and dp_table is not None:
         # Reuse the sweep's already-solved table instead of re-deriving it
         # through the scheduler factory's shared cache.
@@ -133,15 +104,15 @@ def _registry_comparison_row(payload) -> Dict[str, object]:
         scheduler = DPOptimalScheduler(dp_table)
     else:
         scheduler = make_scheduler(name, params)
-    return _comparison_row_for(name, scheduler, params, dp_table)
+    return _comparison_row(name, scheduler, params, dp_table)
 
 
 # ----------------------------------------------------------------------
 # Public sweeps
 # ----------------------------------------------------------------------
 def nonadaptive_guarantee_sweep(lifespans: Iterable[float], setup_cost: float,
-                                interrupt_budgets: Iterable[int],
-                                *, jobs: int = 1) -> List[Dict[str, float]]:
+                                interrupt_budgets: Iterable[int]
+                                ) -> List[Dict[str, float]]:
     """Measured vs. predicted guaranteed work of the non-adaptive guideline.
 
     Reproduces the Section 3.1 analysis: for every ``(U, p)`` pair the
@@ -150,67 +121,47 @@ def nonadaptive_guarantee_sweep(lifespans: Iterable[float], setup_cost: float,
     ``U − 2√(pcU) + pc`` and the printed ``U − √(2pcU) + pc``).
     """
     c = float(setup_cost)
-    payloads = [(float(U), c, int(p))
-                for p in interrupt_budgets for U in lifespans]
-    return _parallel_map(_nonadaptive_guarantee_row, payloads, jobs)
+    return [_nonadaptive_guarantee_row(float(U), c, int(p))
+            for p in interrupt_budgets for U in lifespans]
 
 
 def adaptive_guarantee_sweep(lifespans: Iterable[float], setup_cost: float,
                              interrupt_budgets: Iterable[int],
-                             *, scheduler=None, jobs: int = 1
-                             ) -> List[Dict[str, float]]:
-    """Measured vs. Theorem 5.1 guaranteed work of an adaptive guideline.
-
-    With ``jobs > 1`` a custom ``scheduler`` must be picklable (every
-    scheduler shipped in :mod:`repro.schedules` is).
-    """
+                             *, scheduler=None) -> List[Dict[str, float]]:
+    """Measured vs. Theorem 5.1 guaranteed work of an adaptive guideline."""
     c = float(setup_cost)
-    payloads = [(float(U), c, int(p), scheduler)
-                for p in interrupt_budgets for U in lifespans]
-    return _parallel_map(_adaptive_guarantee_row, payloads, jobs)
+    return [_adaptive_guarantee_row(float(U), c, int(p), scheduler)
+            for p in interrupt_budgets for U in lifespans]
 
 
 def scheduler_comparison_sweep(schedulers: Mapping[str, object],
                                params_list: Iterable[CycleStealingParams],
-                               dp_table: Optional[ValueTable] = None,
-                               *, jobs: int = 1) -> List[Dict[str, object]]:
+                               dp_table: Optional[ValueTable] = None
+                               ) -> List[Dict[str, object]]:
     """Guaranteed work of several schedulers across several opportunities."""
-    dp_ref = dp_table
-    if jobs != 1 and dp_table is not None:
-        # Don't pickle the table into every payload: send its cache key and
-        # let each worker solve/fetch it once.  (Any correct solver yields
-        # identical values, so "fast" is a faithful stand-in.)
-        dp_ref = (dp_table.max_lifespan, dp_table.setup_cost,
-                  dp_table.max_interrupts, "fast")
-    payloads = [(label, scheduler, params, dp_ref)
-                for params in params_list
-                for label, scheduler in schedulers.items()]
-    return _parallel_map(_comparison_row, payloads, jobs)
+    return [_comparison_row(label, scheduler, params, dp_table)
+            for params in params_list
+            for label, scheduler in schedulers.items()]
 
 
 def registry_comparison_sweep(scheduler_names: Iterable[str],
                               params_list: Iterable[CycleStealingParams],
-                              dp_table: Optional[ValueTable] = None,
-                              *, jobs: int = 1) -> List[Dict[str, object]]:
+                              dp_table: Optional[ValueTable] = None
+                              ) -> List[Dict[str, object]]:
     """Guaranteed work of registry-named schedulers across opportunities.
 
     Like :func:`scheduler_comparison_sweep`, but schedulers are referenced
-    by :data:`repro.registry.SCHEDULERS` name and instantiated inside the
-    worker — payloads stay plain data, and anything registered downstream
-    participates without code changes here.  The special name
-    ``"dp-optimal"`` reuses ``dp_table`` when one is supplied.
+    by :data:`repro.registry.SCHEDULERS` name and instantiated per row, so
+    anything registered downstream participates without code changes
+    here.  The special name ``"dp-optimal"`` reuses ``dp_table`` when one
+    is supplied.
     """
     from ..registry import SCHEDULERS
 
     names = list(scheduler_names)
     SCHEDULERS.validate(names, context="registry_comparison_sweep")
-    dp_ref = dp_table
-    if jobs != 1 and dp_table is not None:
-        dp_ref = (dp_table.max_lifespan, dp_table.setup_cost,
-                  dp_table.max_interrupts, "fast")
-    payloads = [(name, params, dp_ref)
-                for params in params_list for name in names]
-    return _parallel_map(_registry_comparison_row, payloads, jobs)
+    return [_registry_comparison_row(name, params, dp_table)
+            for params in params_list for name in names]
 
 
 def play_out_sweep(schedulers: Mapping[str, object], adversaries: Mapping[str, object],

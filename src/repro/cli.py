@@ -109,8 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     gp.add_argument("--lifespan", "-U", type=int, default=2_000)
     gp.add_argument("--setup-cost", "-c", type=int, default=1)
     gp.add_argument("--interrupts", "-p", type=int, default=2)
-    gp.add_argument("--jobs", type=int, default=1,
-                    help="worker processes for the comparison sweep")
     gp.add_argument("--cache-dir", default=CACHE_DIR_HELP_DEFAULT,
                     help=CACHE_DIR_HELP)
 
@@ -491,8 +489,7 @@ def _cmd_gap(args) -> List[dict]:
     cache = configure_shared_cache(cache_dir=args.cache_dir)
     table = cache.solve(int(args.lifespan), int(args.setup_cost), args.interrupts)
     names = ["dp-optimal"] + [n for n in SCHEDULERS.names() if n != "dp-optimal"]
-    return registry_comparison_sweep(names, [params], dp_table=table,
-                                     jobs=args.jobs)
+    return registry_comparison_sweep(names, [params], dp_table=table)
 
 
 def _cmd_simulate(args) -> List[dict]:
@@ -578,7 +575,7 @@ def _cmd_run(args) -> List[dict]:
                              "supported with --executor cluster (run the "
                              "coordinator directly for finer control)")
         from .distributed import run_spec_distributed
-        from .experiments.orchestrator import _resolve_jobs
+        from .runstore import _resolve_jobs
 
         run = run_spec_distributed(spec, runs_dir=args.runs_dir,
                                    run_id=args.run_id,

@@ -11,8 +11,9 @@ experiment pipeline:
   ``(L, c, p, method)``;
 * :mod:`repro.experiments.montecarlo` — N-replication statistics over the
   stochastic owners and randomized scenario families;
-* :mod:`repro.experiments.orchestrator` — the ``concurrent.futures`` fan-out
-  driving it all, exposed on the CLI as ``cycle-stealing sweep``.
+* :mod:`repro.experiments.orchestrator` — the per-point evaluator and
+  :func:`run_sweep`, which fans a grid out through the run store's point
+  pool; exposed on the CLI as ``cycle-stealing sweep``.
 """
 
 from .cache import (
@@ -32,7 +33,7 @@ from .grid import (
     scheduler_names,
 )
 from .montecarlo import BACKENDS, aggregate, replicate_point, replicate_scenario
-from .orchestrator import ExperimentConfig, parallel_map, run_sweep
+from .orchestrator import ExperimentConfig, run_sweep
 
 __all__ = [
     "CacheStats",
@@ -52,6 +53,5 @@ __all__ = [
     "replicate_point",
     "replicate_scenario",
     "ExperimentConfig",
-    "parallel_map",
     "run_sweep",
 ]

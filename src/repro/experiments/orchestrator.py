@@ -1,7 +1,9 @@
-"""Parallel experiment orchestrator.
+"""Experiment orchestrator: one result row per sweep point.
 
-Fans a :class:`~repro.experiments.grid.SweepGrid` out over a
-``concurrent.futures`` worker pool and assembles one result row per point:
+Expands a :class:`~repro.experiments.grid.SweepGrid` into ``(point,
+config)`` payloads, evaluates them through the run store's point fan-out
+(:func:`repro.runstore._execute_points`, the same path ``repro run``
+takes) and returns the rows in grid order.  Each row carries:
 
 * **guaranteed work** — the exact worst case of the point's scheduler,
   via the minimax referee (always computed);
@@ -27,12 +29,10 @@ Three properties the tests pin down:
 
 from __future__ import annotations
 
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..analysis.gap import measure_guaranteed_work
 from .cache import (
@@ -44,10 +44,10 @@ from .cache import (
 )
 from .grid import SweepGrid, SweepPoint, make_scheduler
 from .montecarlo import replicate_point
-from .profiling import aggregate_profiles, pop_profile, render_profile, stage_column
+from .profiling import render_profile, stage_column
 
-__all__ = ["ExperimentConfig", "run_sweep", "parallel_map",
-           "publish_shared_tables", "shared_table_keys"]
+__all__ = ["ExperimentConfig", "run_sweep", "publish_shared_tables",
+           "shared_table_keys"]
 
 
 @dataclass(frozen=True)
@@ -173,12 +173,6 @@ def _evaluate_point(payload: Tuple[SweepPoint, ExperimentConfig]) -> Dict[str, A
 # ----------------------------------------------------------------------
 # Driver side
 # ----------------------------------------------------------------------
-def _resolve_jobs(jobs: Optional[int]) -> int:
-    if jobs is None or jobs <= 0:  # 0 / None: one worker per CPU
-        return max(1, os.cpu_count() or 1)
-    return int(jobs)
-
-
 def shared_table_keys(points: Sequence[SweepPoint],
                       config: ExperimentConfig) -> List[Tuple[int, int, int]]:
     """Distinct integer DP ``(L, c, p)`` keys the worker fleet will need.
@@ -196,10 +190,6 @@ def shared_table_keys(points: Sequence[SweepPoint],
         if L.is_integer() and c.is_integer():
             keys.add((int(L), int(c), int(point.max_interrupts)))
     return sorted(keys)
-
-
-#: Backwards-compatible alias (pre-distributed name).
-_shared_table_keys = shared_table_keys
 
 
 def publish_shared_tables(points: Sequence[SweepPoint],
@@ -228,7 +218,7 @@ def publish_shared_tables(points: Sequence[SweepPoint],
     sweep falls back to per-worker solving — slower and per-worker RSS
     grows again, but results are identical.
     """
-    keys = _shared_table_keys(points, config)
+    keys = shared_table_keys(points, config)
     if not keys:
         return None, config
     cache = cache if cache is not None else DPTableCache(cache_dir=config.cache_dir)
@@ -246,24 +236,6 @@ def publish_shared_tables(points: Sequence[SweepPoint],
         return None, config
     return (pub if owned else None), replace(config,
                                              shared_tables=tuple(handles))
-
-
-def parallel_map(func: Callable[[Any], Any], payloads: Sequence[Any],
-                 *, jobs: int = 1, chunksize: Optional[int] = None) -> List[Any]:
-    """Order-preserving map over a process pool (serial when ``jobs <= 1``).
-
-    ``func`` must be a module-level callable and every payload picklable
-    when ``jobs > 1``.  Results come back in payload order regardless of
-    which worker finished first.
-    """
-    payloads = list(payloads)
-    jobs = _resolve_jobs(jobs)
-    if jobs <= 1 or len(payloads) <= 1:
-        return [func(p) for p in payloads]
-    if chunksize is None:
-        chunksize = max(1, len(payloads) // (4 * jobs))
-    with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-        return list(pool.map(func, payloads, chunksize=chunksize))
 
 
 def run_sweep(grid: SweepGrid, *, jobs: int = 1, replications: int = 0,
@@ -355,21 +327,17 @@ def run_sweep(grid: SweepGrid, *, jobs: int = 1, replications: int = 0,
                                           else int(chunk_size)),
                               variance=str(variance),
                               profile=bool(profile))
-    points = grid.points()
-    publisher: Optional[SharedTablePublisher] = None
-    if _resolve_jobs(jobs) > 1 and len(points) > 1:
-        publisher, config = publish_shared_tables(points, config)
+    from ..runstore import _execute_points, _resolve_jobs
+
+    jobs = _resolve_jobs(jobs)
+    rows: Dict[int, Dict[str, Any]] = {}
     started = time.perf_counter()
-    try:
-        rows = parallel_map(_evaluate_point,
-                            [(point, config) for point in points], jobs=jobs)
-    finally:
-        if publisher is not None:
-            publisher.close()
+    totals = _execute_points(
+        {i: (point, config) for i, point in enumerate(grid.points())},
+        rows.__setitem__, jobs=jobs, profile=profile)
     if profile:
-        totals = aggregate_profiles([pop_profile(row) for row in rows])
         print(render_profile(totals,
                              wall_seconds=time.perf_counter() - started,
-                             points=len(rows), jobs=_resolve_jobs(jobs)),
+                             points=len(rows), jobs=jobs),
               file=sys.stderr)
-    return rows
+    return [rows[i] for i in range(len(rows))]

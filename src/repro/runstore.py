@@ -57,7 +57,7 @@ import time
 import zipfile
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -1083,7 +1083,9 @@ def run_spec(spec: ExperimentSpec, *,
         (deterministic in the spec contents).
     jobs:
         Worker processes (``1`` = in-process serial, ``0`` = one per CPU).
-        Shards are written as each point finishes, in either mode.
+        Shards are written as each point finishes, in either mode (as
+        each chunk finishes when pooled points go out in chunks, see
+        :func:`_execute_points`).
     cache_dir:
         Shared on-disk DP-table cache directory for sweep points
         (default: disabled — tables are cached in memory per process only).
@@ -1114,9 +1116,11 @@ def run_spec(spec: ExperimentSpec, *,
     Returns the :class:`Run`; its status is ``"complete"`` once every
     point has a shard.
 
-    With ``jobs > 1``, sweep-kind specs publish their DP tables to shared
-    memory exactly like :func:`repro.experiments.orchestrator.run_sweep`
-    — solved once per machine, attached by name in every worker.
+    Points are evaluated by :func:`_execute_points`, the fan-out
+    :func:`repro.experiments.run_sweep` uses too: with ``jobs > 1``,
+    sweep-kind specs publish their DP tables to shared memory (solved
+    once per machine, attached by name in every worker), and the first
+    failing point cancels the points not yet started.
 
     Only the *pending* points are expanded (lazily, verified against the
     manifest's per-point payload digests) — resuming a run with a handful
@@ -1165,9 +1169,16 @@ def run_spec(spec: ExperimentSpec, *,
     spec_parse_seconds += time.perf_counter() - parse_started
 
     jobs = _resolve_jobs(jobs)
-    totals = _execute_points(run, payloads, pending, jobs=jobs,
-                             profile=profile, publisher=publisher,
-                             table_cache=table_cache)
+    write_seconds = 0.0
+
+    def persist(index: int, row: Dict[str, Any]) -> None:
+        nonlocal write_seconds
+        write_started = time.perf_counter()
+        run.write_point(index, row)
+        write_seconds += time.perf_counter() - write_started
+
+    totals = _execute_points(payloads, persist, jobs=jobs, profile=profile,
+                             publisher=publisher, table_cache=table_cache)
 
     # _execute_points returning means every pending shard was written and
     # atomically published, so no re-scan of the store is needed here.
@@ -1185,7 +1196,8 @@ def run_spec(spec: ExperimentSpec, *,
         run.mark_complete()  # re-validates the sidecar, then flips status
     if profile:
         totals["spec_parse"] = totals.get("spec_parse", 0.0) + spec_parse_seconds
-        totals["shard_io"] = (totals.get("shard_io", 0.0) + scan_seconds
+        totals["shard_io"] = (totals.get("shard_io", 0.0) + write_seconds
+                              + scan_seconds
                               + time.perf_counter() - consolidate_started)
         print(render_profile(totals,
                              wall_seconds=time.perf_counter() - wall_started,
@@ -1216,12 +1228,10 @@ def resume_run(run_id: str, *,
 
 
 def _resolve_jobs(jobs: Optional[int]) -> int:
-    """One job-resolution semantic for the whole harness (lazy import —
-    the orchestrator pulls in the analysis stack, which ``import
-    repro.runstore`` alone should not pay for)."""
-    from .experiments.orchestrator import _resolve_jobs as resolve
-
-    return resolve(jobs)
+    """Worker processes for ``jobs`` (``0`` / ``None``: one per CPU)."""
+    if jobs is None or jobs <= 0:
+        return max(1, os.cpu_count() or 1)
+    return int(jobs)
 
 
 def _expand_pending(run: Run, spec: ExperimentSpec, pending: List[int],
@@ -1255,93 +1265,91 @@ def _expand_pending(run: Run, spec: ExperimentSpec, pending: List[int],
     return out
 
 
-def _prepare_shared_tables(payloads: Dict[int, Any], pending: List[int],
-                           jobs: int, *,
-                           external_publisher: Optional[Any] = None,
-                           table_cache: Optional[Any] = None):
-    """Publish sweep DP tables to shared memory for a parallel run.
-
-    Only the *pending* points' tables are published — a resume with a
-    handful of missing shards must not re-solve the whole grid's tables.
-    No-op (``None`` publisher, unchanged payloads) for serial runs,
-    single-point remainders, scenario-kind payloads, or grids that need
-    no tables.
-
-    With ``external_publisher`` (the run-service's service-lifetime
-    publisher), tables are published through it instead — even for
-    ``jobs=1`` in-process execution, since the point is sharing across
-    *concurrent submissions*, not across worker processes.  The returned
-    publisher is then ``None``: the caller's ``finally`` must never close
-    what it does not own.
-    """
-    if not pending or not isinstance(payloads[pending[0]], tuple):
-        return None, payloads
-    if external_publisher is None and (jobs <= 1 or len(pending) <= 1):
-        return None, payloads
-    from .experiments.orchestrator import ExperimentConfig, publish_shared_tables
-
-    config = payloads[pending[0]][1]
-    if not isinstance(config, ExperimentConfig):
-        return None, payloads
-    publisher, config = publish_shared_tables(
-        [payloads[i][0] for i in pending], config,
-        cache=table_cache, publisher=external_publisher)
-    if publisher is None and not config.shared_tables:
-        return None, payloads
-    return publisher, {i: (point, config)
-                       for i, (point, _config) in payloads.items()}
+#: Pooled points go out in at most this many futures per worker.  Runs of
+#: up to that many points per worker keep one point per future (rows land
+#: as each point completes, best load balance); a grid of thousands of
+#: cheap points is cut into contiguous chunks so per-future IPC and the
+#: ``wait`` scan over pending futures stay bounded.
+_FUTURES_PER_WORKER = 16
 
 
-def _execute_points(run: Run, payloads: Dict[int, Any], pending: List[int],
-                    *, jobs: int = 1, profile: bool = False,
+def _evaluate_chunk(chunk: List[Tuple[int, Any]]
+                    ) -> List[Tuple[int, Dict[str, Any]]]:
+    """Pool-worker entry point: ``[(index, payload)]`` -> ``[(index, row)]``."""
+    return [(index, evaluate_payload(payload)) for index, payload in chunk]
+
+
+def _execute_points(payloads: Dict[int, Any],
+                    sink: Callable[[int, Dict[str, Any]], None], *,
+                    jobs: int = 1, profile: bool = False,
                     publisher: Optional[Any] = None,
                     table_cache: Optional[Any] = None) -> Dict[str, float]:
-    """Evaluate ``pending`` payload indices, persisting each as it finishes.
+    """Evaluate ``{index: payload}``, handing each row to ``sink(index, row)``.
 
-    Returns the aggregated per-stage seconds when ``profile`` is set
-    (empty dict otherwise); the caller renders them together with its own
-    spec-parse and consolidation timings.
+    The one point fan-out of the harness: :func:`run_spec` sinks rows
+    into the run store, :func:`repro.experiments.run_sweep` collects them
+    in memory.  With ``jobs > 1`` the payloads are submitted to a process
+    pool — one point per future, or contiguous chunks when there are more
+    than ``_FUTURES_PER_WORKER`` points per worker — and each future's
+    rows are sunk as soon as it completes, so completion order never
+    matters (rows are keyed by index).  The first exception — from a
+    point or from the sink — cancels every future that has not started
+    and is re-raised; rows already sunk stay sunk.
+
+    Sweep payloads publish their DP tables to shared memory first, once
+    per machine, when an external ``publisher`` is given (the run service
+    shares tables across concurrent in-process runs, even at ``jobs=1``)
+    or when more than one point goes to a pool.  Only *these* payloads'
+    tables are published: a resume with a handful of missing points must
+    not re-solve the whole grid's.
+
+    ``jobs`` is already resolved (see :func:`_resolve_jobs`).  Returns the
+    per-stage seconds summed over every row when ``profile`` is set
+    (empty dict otherwise); the profile columns are stripped before the
+    row reaches ``sink``.
     """
-    if not pending:
+    if not payloads:
         return {}
-    profiles: List[Dict[str, float]] = []
-    shard_io = 0.0
+    parallel = jobs > 1 and len(payloads) > 1
+    owned_publisher = None
+    first = next(iter(payloads.values()))
+    if isinstance(first, tuple) and (publisher is not None or parallel):
+        from .experiments.orchestrator import publish_shared_tables
 
-    def persist(index: int, row: Dict[str, Any]) -> None:
-        nonlocal shard_io
+        owned_publisher, config = publish_shared_tables(
+            [point for point, _config in payloads.values()], first[1],
+            cache=table_cache, publisher=publisher)
+        payloads = {i: (point, config)
+                    for i, (point, _config) in payloads.items()}
+    profiles: List[Dict[str, float]] = []
+
+    def deliver(index: int, row: Dict[str, Any]) -> None:
         if profile:
             profiles.append(pop_profile(row))
-            write_started = time.perf_counter()
-            run.write_point(index, row)
-            shard_io += time.perf_counter() - write_started
-        else:
-            run.write_point(index, row)
+        sink(index, row)
 
-    owned_publisher, payloads = _prepare_shared_tables(
-        payloads, pending, jobs,
-        external_publisher=publisher, table_cache=table_cache)
     try:
-        if jobs <= 1 or len(pending) <= 1:
-            for index in pending:
-                persist(index, evaluate_payload(payloads[index]))
+        if not parallel:
+            for index, payload in payloads.items():
+                deliver(index, evaluate_payload(payload))
         else:
-            # Parallel mode: submit everything, persist futures as they
-            # complete.  Rows are keyed by point index, so completion order
-            # never matters.
-            with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-                futures = {pool.submit(evaluate_payload, payloads[i]): i
-                           for i in pending}
-                remaining = set(futures)
-                while remaining:
-                    finished, remaining = wait(remaining,
-                                               return_when=FIRST_COMPLETED)
-                    for future in finished:
-                        persist(futures[future], future.result())
+            workers = min(jobs, len(payloads))
+            items = list(payloads.items())
+            size = -(-len(items) // (workers * _FUTURES_PER_WORKER))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                remaining = {pool.submit(_evaluate_chunk, items[i:i + size])
+                             for i in range(0, len(items), size)}
+                try:
+                    while remaining:
+                        finished, remaining = wait(
+                            remaining, return_when=FIRST_COMPLETED)
+                        for future in finished:
+                            for index, row in future.result():
+                                deliver(index, row)
+                except BaseException:
+                    pool.shutdown(cancel_futures=True)
+                    raise
     finally:
         if owned_publisher is not None:
             owned_publisher.close()
-    if not profile:
-        return {}
-    totals = aggregate_profiles(profiles)
-    totals["shard_io"] = totals.get("shard_io", 0.0) + shard_io
-    return totals
+    return aggregate_profiles(profiles) if profile else {}

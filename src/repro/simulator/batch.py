@@ -45,8 +45,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..core.exceptions import SimulationError
+from ..core.game import AdaptiveSchedulerProtocol
 from ..workloads.owner_activity import pad_traces
-from .engine import CycleStealingSimulation, SchedulerFactory
+from .engine import CycleStealingSimulation
 from .metrics import SimulationReport, WorkstationMetrics
 
 __all__ = ["simulate_scenarios_batch", "simulate_batch"]
@@ -56,7 +57,8 @@ __all__ = ["simulate_scenarios_batch", "simulate_batch"]
 LIFESPAN_SLACK = 1e-9
 
 
-def simulate_scenarios_batch(scenarios: Sequence, scheduler: Optional[SchedulerFactory] = None,
+def simulate_scenarios_batch(scenarios: Sequence,
+                             scheduler: Optional[AdaptiveSchedulerProtocol] = None,
                              *, scheduler_factory=None) -> List[SimulationReport]:
     """Simulate one report per scenario, all replications in one array pass.
 

@@ -24,8 +24,7 @@ Design notes
 
 from __future__ import annotations
 
-import warnings
-from typing import Callable, Dict, Optional, Sequence, Union
+from typing import Callable, Dict, Optional, Sequence
 
 from ..core.exceptions import SimulationError
 from ..core.game import AdaptiveSchedulerProtocol
@@ -35,10 +34,6 @@ from .workstation import BorrowedWorkstation, WorkstationState
 
 __all__ = ["CycleStealingSimulation"]
 
-SchedulerFactory = Union[AdaptiveSchedulerProtocol,
-                         Callable[[BorrowedWorkstation], AdaptiveSchedulerProtocol]]
-
-
 class CycleStealingSimulation:
     """Simulate one cycle-stealing opportunity across a network of workstations.
 
@@ -47,10 +42,9 @@ class CycleStealingSimulation:
     workstations:
         The borrowed machines (contracts) to drive.
     scheduler:
-        A single adaptive scheduler shared by every contract.  (Passing a
-        bare callable factory here is deprecated — the old heuristic
-        misclassified callable objects that also define
-        ``episode_schedule``; use ``scheduler_factory=`` instead.)
+        A single adaptive scheduler shared by every contract.  A callable
+        without ``episode_schedule`` is rejected: per-workstation
+        factories go to ``scheduler_factory=``.
     task_bag:
         Optional data-parallel workload (see
         :class:`repro.workloads.TaskBag`).  When present, completed
@@ -63,7 +57,7 @@ class CycleStealingSimulation:
     """
 
     def __init__(self, workstations: Sequence[BorrowedWorkstation],
-                 scheduler: Optional[SchedulerFactory] = None,
+                 scheduler: Optional[AdaptiveSchedulerProtocol] = None,
                  task_bag=None, *,
                  scheduler_factory: Optional[
                      Callable[[BorrowedWorkstation],
@@ -81,7 +75,7 @@ class CycleStealingSimulation:
         self._clock = 0.0
 
     @staticmethod
-    def _resolve_scheduler(scheduler: Optional[SchedulerFactory],
+    def _resolve_scheduler(scheduler: Optional[AdaptiveSchedulerProtocol],
                            scheduler_factory) -> Callable[[BorrowedWorkstation],
                                                           AdaptiveSchedulerProtocol]:
         if scheduler_factory is not None:
@@ -98,14 +92,11 @@ class CycleStealingSimulation:
             # A scheduler instance — even if it also happens to be callable.
             return lambda _ws: scheduler
         if callable(scheduler):
-            warnings.warn(
-                "passing a bare callable as the scheduler is deprecated; "
-                "use the explicit scheduler_factory= keyword instead",
-                DeprecationWarning, stacklevel=3)
-            return scheduler
+            raise SimulationError(
+                f"{scheduler!r} is a callable, not a scheduler; pass a "
+                "per-workstation factory as scheduler_factory= instead")
         raise SimulationError(
-            f"{scheduler!r} implements neither the adaptive scheduler "
-            "protocol nor a factory callable")
+            f"{scheduler!r} does not implement the adaptive scheduler protocol")
 
     # ------------------------------------------------------------------
     # Public API

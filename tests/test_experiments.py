@@ -18,7 +18,6 @@ from repro.experiments import (
     replicate_scenario,
     run_sweep,
 )
-from repro.experiments.orchestrator import parallel_map
 
 
 # ----------------------------------------------------------------------
@@ -213,21 +212,21 @@ class TestOrchestrator:
             assert row["lifespan"] == point.lifespan
             assert row["max_interrupts"] == point.max_interrupts
 
-    def test_parallel_map_serial_fallback(self):
-        assert parallel_map(abs, [-1, 2, -3], jobs=1) == [1, 2, 3]
-
-    def test_sweeps_route_through_orchestrator(self):
+    def test_analysis_sweeps_order_and_repeat(self):
+        # The analysis sweeps run in-process: rows come back budget-major,
+        # lifespan-minor, and repeat exactly.
         from repro.analysis import (
             adaptive_guarantee_sweep,
             nonadaptive_guarantee_sweep,
         )
 
-        serial = nonadaptive_guarantee_sweep([100.0, 200.0], 1.0, [1, 2])
-        fanned = nonadaptive_guarantee_sweep([100.0, 200.0], 1.0, [1, 2], jobs=2)
-        assert serial == fanned
-        serial = adaptive_guarantee_sweep([100.0], 1.0, [1, 2])
-        fanned = adaptive_guarantee_sweep([100.0], 1.0, [1, 2], jobs=2)
-        assert serial == fanned
+        rows = nonadaptive_guarantee_sweep([100.0, 200.0], 1.0, [1, 2])
+        assert [(r["max_interrupts"], r["lifespan"]) for r in rows] == \
+            [(1, 100.0), (1, 200.0), (2, 100.0), (2, 200.0)]
+        assert rows == nonadaptive_guarantee_sweep([100.0, 200.0], 1.0, [1, 2])
+        rows = adaptive_guarantee_sweep([100.0], 1.0, [1, 2])
+        assert [r["max_interrupts"] for r in rows] == [1, 2]
+        assert rows == adaptive_guarantee_sweep([100.0], 1.0, [1, 2])
 
 
 # ----------------------------------------------------------------------

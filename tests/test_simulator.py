@@ -140,11 +140,10 @@ class TestSimulationBasics:
         assert sorted(factory_calls) == ["ws-0", "ws-1"]
         assert report.total_work == pytest.approx(198.0)
 
-    def test_bare_callable_scheduler_is_deprecated(self):
-        with pytest.warns(DeprecationWarning):
-            sim = CycleStealingSimulation([_single()],
-                                          lambda ws: SinglePeriodScheduler())
-        assert sim.run().total_work == pytest.approx(99.0)
+    def test_bare_callable_scheduler_is_rejected(self):
+        with pytest.raises(SimulationError):
+            CycleStealingSimulation([_single()],
+                                    lambda ws: SinglePeriodScheduler())
 
     def test_callable_scheduler_object_is_not_misclassified(self):
         # A scheduler that is *also* callable used to be ambiguous under the
@@ -171,25 +170,25 @@ class TestSimulationBasics:
         with pytest.raises(SimulationError):
             CycleStealingSimulation([_single()], scheduler_factory=42)
 
-    def test_deprecated_callable_names_the_replacement(self):
-        with pytest.warns(DeprecationWarning, match="scheduler_factory"):
+    def test_bare_callable_error_names_the_replacement(self):
+        with pytest.raises(SimulationError, match="scheduler_factory="):
             CycleStealingSimulation([_single()],
                                     lambda ws: SinglePeriodScheduler())
 
-    def test_deprecated_callable_still_routes_per_workstation(self):
-        # The legacy bare-callable form keeps factory behaviour until it is
-        # removed: it must be invoked with each workstation.
+    def test_factory_routes_per_workstation(self):
+        # The replacement for the removed bare-callable form: the factory
+        # is invoked with each workstation.
         machines = [_single(),
                     BorrowedWorkstation("ws-1", lifespan=100.0, setup_cost=1.0,
                                         interrupt_budget=0)]
         seen = []
 
-        def legacy(ws):
+        def factory(ws):
             seen.append(ws.workstation_id)
             return SinglePeriodScheduler()
 
-        with pytest.warns(DeprecationWarning):
-            report = CycleStealingSimulation(machines, legacy).run()
+        report = CycleStealingSimulation(machines,
+                                         scheduler_factory=factory).run()
         assert sorted(set(seen)) == ["ws-0", "ws-1"]
         assert report.total_work == pytest.approx(198.0)
 

@@ -6,8 +6,6 @@ reference on identical traces — every float metric bit for bit — plus
 randomness is involved, because only float summation order may differ.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -204,15 +202,18 @@ class TestEdgeCases:
         (batch_report,) = simulate_batch([ws], scheduler_factory=factory)
         assert_reports_identical(event_report, batch_report)
 
-    def test_bare_callable_deprecation_matches_engine(self):
+    def test_bare_callable_rejected_like_engine(self):
         ws = [_ws()]
-        with pytest.warns(DeprecationWarning):
-            (batch_report,) = simulate_batch(
-                [ws], lambda workstation: SinglePeriodScheduler())
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            event_report = CycleStealingSimulation(
-                ws, lambda workstation: SinglePeriodScheduler()).run()
+        with pytest.raises(SimulationError, match="scheduler_factory="):
+            simulate_batch([ws], lambda workstation: SinglePeriodScheduler())
+        with pytest.raises(SimulationError, match="scheduler_factory="):
+            CycleStealingSimulation(
+                ws, lambda workstation: SinglePeriodScheduler())
+        # The factory spelling routes identically through both backends.
+        (batch_report,) = simulate_batch(
+            [ws], scheduler_factory=lambda workstation: SinglePeriodScheduler())
+        event_report = CycleStealingSimulation(
+            ws, scheduler_factory=lambda workstation: SinglePeriodScheduler()).run()
         assert_reports_identical(event_report, batch_report)
 
     def test_empty_batch(self):
